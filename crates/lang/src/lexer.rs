@@ -105,20 +105,17 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             });
             continue;
         }
-        // Operators and punctuation.
-        let two = if i + 1 < bytes.len() {
-            &source[i..i + 2]
-        } else {
-            ""
-        };
+        // Operators and punctuation. Compared as bytes: the next two
+        // bytes may end inside a multi-byte character.
+        let two = bytes.get(i..i + 2).unwrap_or_default();
         let (kind, len) = match two {
-            "==" => (TokenKind::Eq, 2),
-            "!=" => (TokenKind::Ne, 2),
-            "<=" => (TokenKind::Le, 2),
-            ">=" => (TokenKind::Ge, 2),
-            "&&" => (TokenKind::AndAnd, 2),
-            "||" => (TokenKind::OrOr, 2),
-            ".." => (TokenKind::DotDot, 2),
+            b"==" => (TokenKind::Eq, 2),
+            b"!=" => (TokenKind::Ne, 2),
+            b"<=" => (TokenKind::Le, 2),
+            b">=" => (TokenKind::Ge, 2),
+            b"&&" => (TokenKind::AndAnd, 2),
+            b"||" => (TokenKind::OrOr, 2),
+            b".." => (TokenKind::DotDot, 2),
             _ => match c {
                 '(' => (TokenKind::LParen, 1),
                 ')' => (TokenKind::RParen, 1),
@@ -137,11 +134,18 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                 '/' => (TokenKind::Slash, 1),
                 '%' => (TokenKind::Percent, 1),
                 '!' => (TokenKind::Bang, 1),
-                other => {
+                _ => {
+                    // `c` is a single byte; report the whole character
+                    // it starts (every other token is ASCII, so `start`
+                    // is a character boundary).
+                    let other = source
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .unwrap_or(char::REPLACEMENT_CHARACTER);
                     return Err(LexError {
                         message: format!("unexpected character `{other}`"),
                         span: Span::new(start, start + other.len_utf8()),
-                    })
+                    });
                 }
             },
         };
@@ -246,6 +250,22 @@ mod tests {
         let err = lex("a # b").unwrap_err();
         assert!(err.message.contains('#'));
         assert_eq!(err.span.start, 2);
+    }
+
+    #[test]
+    fn multi_byte_character_errors_instead_of_panicking() {
+        // `…` is 3 bytes; the two-byte operator probe at `a`'s end
+        // must not slice through it.
+        let err = lex("a…b").unwrap_err();
+        assert!(err.message.contains('…'), "{}", err.message);
+        assert_eq!(err.span, Span::new(1, 4));
+    }
+
+    #[test]
+    fn non_ascii_character_is_reported_whole() {
+        let err = lex("é").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
+        assert_eq!(err.span, Span::new(0, 2));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! A persistent, shard-aware work-stealing thread pool.
+//! A persistent work-stealing thread pool.
 //!
 //! The paper's runtime executes rule applications on "a parallel work
 //! stealing scheduler" whose sequential/parallel switch-over points are
 //! exposed to the autotuner (§5.2). This module is that scheduler's
 //! equivalent: a lazily initialized global [`Pool`] of worker threads
-//! fed through `crossbeam`-style injectors, with per-worker deques
-//! that refill in batches and steal from each other when dry.
+//! fed through one shared `crossbeam`-style injector, with per-worker
+//! deques that refill in batches and steal from each other when dry.
 //!
 //! Design points:
 //!
@@ -13,22 +13,12 @@
 //!   and parked between batches, replacing the fresh
 //!   `crossbeam::thread::scope` spawns the old `parallel_map` paid on
 //!   every call. The hardware thread count is queried once and cached.
-//! * **Sharded injectors with locality-preferring stealing.** The pool
-//!   is partitioned into `PB_POOL_SHARDS` shards (default 1 — exactly
-//!   the old single-injector behaviour). Each shard owns an injector;
-//!   thread slots are partitioned contiguously across shards, and
-//!   batch submission routes contiguous chunk ranges to their home
-//!   shard's injector. An idle thread looks for work in locality
-//!   order: its own shard's injector (batch-refilling its deque), then
-//!   own-shard peers' deques, then remote injectors and remote deques
-//!   — work-conservation beats locality once the home shard is dry.
-//!   Every job is tagged with its home shard at routing, and per-shard
-//!   counters attribute each executed job as local (run by a
-//!   home-shard thread) or remote (drained by a cross-shard thief).
-//!   Sharding changes only *where* a job runs, never *what* it
-//!   computes, so results are bit-identical at any shard count. A
-//!   shard boundary is the future process boundary for distributed
-//!   evaluation.
+//! * **One injector, one steal order.** A batch is split into
+//!   contiguous chunks pushed onto a single global injector. An idle
+//!   worker takes work from the injector first (batch-refilling its own
+//!   deque), then steals from its peers' deques. The schedule decides
+//!   only *where* a chunk runs, never *what* it computes: callers that
+//!   merge results by task index are bit-identical to a sequential run.
 //! * **Caller participation.** [`Pool::run_indexed`] blocks until the
 //!   batch completes, but the calling thread executes queued tasks
 //!   while it waits. This both uses the caller as an extra worker and
@@ -40,7 +30,6 @@
 //!   on the submitting thread instead of re-enqueueing: the outer
 //!   batch already occupies every worker, so re-splitting nested work
 //!   only adds queue churn and oversubscription on small machines.
-//!   This holds at every shard count.
 //! * **Panic propagation.** A panicking task aborts its batch's
 //!   remaining tasks (best effort), and the panic payload is re-thrown
 //!   on the calling thread once the batch has drained, mirroring the
@@ -97,28 +86,20 @@ pub fn current_task_depth() -> usize {
 
 /// One schedulable unit: a contiguous index range of some batch.
 struct Job {
-    /// The batch this job belongs to. The submitting thread keeps the
-    /// `BatchState` alive until every job of the batch has finished
-    /// (it blocks in [`Pool::run_indexed`]), so the pointer is valid
-    /// for the job's whole lifetime.
-    batch: *const BatchState,
+    /// The batch this job belongs to. Shared ownership, because the
+    /// job that finishes a batch still signals its condvar after the
+    /// submitter may have seen the count reach zero and returned.
+    batch: Arc<BatchState>,
     start: usize,
     end: usize,
-    /// The shard whose injector this job was routed to at submission —
-    /// the job's locality affinity, fixed even if the job is later
-    /// stolen across a shard boundary (or the shard count changes).
-    home: usize,
 }
-
-// SAFETY: `Job` moves raw `BatchState` pointers between threads. The
-// state outlives the job (see `Job::batch`) and all of its fields are
-// `Sync` (atomics, mutexes, and a `Sync` task closure).
-unsafe impl Send for Job {}
 
 /// Shared bookkeeping for one `run_indexed` call.
 struct BatchState {
     /// The task closure, as a raw wide pointer so `BatchState` can be
-    /// stored behind `'static` jobs. Valid while the submitter blocks.
+    /// stored behind `'static` jobs. Valid while the submitter blocks,
+    /// which it does until every job has decremented `remaining`; a
+    /// job dereferences it only before its decrement.
     task: *const (dyn Fn(usize) + Sync),
     /// Jobs not yet finished.
     remaining: AtomicUsize,
@@ -137,8 +118,9 @@ struct BatchState {
     trace_seq: u64,
 }
 
-// SAFETY: see the field docs — the raw pointers are only dereferenced
-// while the submitting thread (which owns the referents) blocks.
+// SAFETY: see the field docs — the task pointer is only dereferenced
+// while the submitting thread (which owns the closure) blocks; every
+// other field is `Sync`.
 unsafe impl Send for BatchState {}
 unsafe impl Sync for BatchState {}
 
@@ -184,67 +166,10 @@ impl BatchState {
     }
 }
 
-/// The shard a thread slot belongs to: slots `0..threads` (slot 0 is
-/// the submitting caller, slots `1..` the workers) partition
-/// contiguously across `shards` shards. With `shards == threads` every
-/// slot is its own shard (per-slot injectors); with `shards == 1` all
-/// slots share one shard — the pre-sharding topology.
-fn shard_of_slot(slot: usize, shards: usize, threads: usize) -> usize {
-    debug_assert!(slot < threads && shards >= 1 && shards <= threads);
-    slot * shards / threads
-}
-
-/// Per-shard scheduling counters (relaxed atomics; jobs are
-/// chunk-sized, so one relaxed increment per executed job is noise
-/// next to the work the job carries).
-#[derive(Default)]
-struct ShardCounters {
-    /// Jobs (chunks) routed to this shard's injector at submission.
-    dispatched: AtomicU64,
-    /// Jobs executed by this shard's threads that were routed to this
-    /// shard (locality preserved).
-    local_jobs: AtomicU64,
-    /// Jobs executed by this shard's threads that were routed to a
-    /// *different* shard — cross-shard steals, counted per job.
-    remote_jobs: AtomicU64,
-}
-
-/// A snapshot of one shard's scheduling counters, cumulative since the
-/// pool was created (see [`Pool::shard_stats`]). Executed jobs are
-/// attributed to the shard whose thread *ran* them, split by whether
-/// the job's home shard matched — so across shards,
-/// `Σ local_jobs + Σ remote_jobs` equals the jobs executed, and the
-/// remote share measures how much work leaked across shard boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index in `0..Pool::shards()`.
-    pub shard: usize,
-    /// Thread slots currently assigned to this shard (including the
-    /// caller slot for shard 0).
-    pub threads: usize,
-    /// Jobs routed to this shard's injector at submission.
-    pub dispatched: u64,
-    /// Jobs this shard's threads ran that were homed here.
-    pub local_jobs: u64,
-    /// Jobs this shard's threads ran that were homed elsewhere
-    /// (cross-shard steals, per job).
-    pub remote_jobs: u64,
-}
-
 /// State shared between the pool handle and its worker threads.
 struct Shared {
-    /// One injector per *potential* shard (allocated up to the thread
-    /// budget so the active shard count can change without
-    /// reallocation; inactive injectors just sit empty).
-    injectors: Vec<Injector<Job>>,
+    injector: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
-    /// Active shard count in `[1, threads]`. Routing of *new* batches
-    /// and the steal order read it; a change never strands queued jobs
-    /// because idle threads scan every injector before sleeping.
-    shards: AtomicUsize,
-    /// Thread budget (including the caller slot) — fixed at creation.
-    threads: usize,
-    shard_counters: Vec<ShardCounters>,
     /// Sleeping workers wait here; submitters notify on new work.
     sleep_lock: Mutex<()>,
     wake: Condvar,
@@ -252,122 +177,49 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// Polls one injector until it yields a job or reports empty,
-/// batch-refilling `local` when the thread has a deque (home *and*
-/// remote injectors: once a thread is reduced to cross-shard stealing
-/// its own shard is dry, and work-conservation beats locality — the
-/// per-job home tags keep the locality accounting exact either way).
-fn poll_injector(injector: &Injector<Job>, local: Option<&Worker<Job>>) -> Option<Job> {
-    loop {
-        let stolen = match local {
-            Some(worker) => injector.steal_batch_and_pop(worker),
-            None => injector.steal(),
-        };
-        match stolen {
-            Steal::Success(job) => return Some(job),
-            Steal::Retry => continue,
-            Steal::Empty => return None,
-        }
-    }
-}
-
 impl Shared {
-    /// Takes one job in locality order for the thread at `slot`: own
-    /// shard's injector first, then own-shard peers' deques, then —
-    /// only once the home shard is dry — remote injectors and remote
-    /// deques (each injector poll batch-refills `local` when present).
-    fn find_job(&self, local: Option<&Worker<Job>>, slot: usize) -> Option<Job> {
-        let shards = self.shards.load(Ordering::Relaxed);
-        let home = shard_of_slot(slot, shards, self.threads);
-        if let Some(job) = poll_injector(&self.injectors[home], local) {
-            return Some(job);
-        }
-        for (peer, stealer) in self.stealers.iter().enumerate() {
-            let peer_slot = peer + 1;
-            if peer_slot == slot || shard_of_slot(peer_slot, shards, self.threads) != home {
-                continue;
+    /// Takes one job from anywhere: the injector first (refilling
+    /// `local` in a batch when the thread has a deque), then the other
+    /// workers' deques.
+    fn find_job(&self, local: Option<&Worker<Job>>) -> Option<Job> {
+        loop {
+            let stolen = match local {
+                Some(worker) => self.injector.steal_batch_and_pop(worker),
+                None => self.injector.steal(),
+            };
+            match stolen {
+                Steal::Success(job) => return Some(job),
+                Steal::Retry => continue,
+                Steal::Empty => break,
             }
+        }
+        for stealer in &self.stealers {
             if let Steal::Success(job) = stealer.steal() {
-                self.trace_steal(false, &job);
-                return Some(job);
-            }
-        }
-        // Remote shards: scan *every* other injector — including
-        // indices beyond the active shard count — so a shard-count
-        // change mid-flight can never strand queued jobs.
-        for (idx, injector) in self.injectors.iter().enumerate() {
-            if idx == home {
-                continue;
-            }
-            if let Some(job) = poll_injector(injector, local) {
-                self.trace_steal(true, &job);
-                return Some(job);
-            }
-        }
-        for (peer, stealer) in self.stealers.iter().enumerate() {
-            let peer_slot = peer + 1;
-            if peer_slot == slot || shard_of_slot(peer_slot, shards, self.threads) == home {
-                continue;
-            }
-            if let Steal::Success(job) = stealer.steal() {
-                self.trace_steal(true, &job);
+                let seq = job.batch.trace_seq;
+                if seq != 0 {
+                    pb_trace::record(Event::instant(
+                        EventKind::PoolSteal,
+                        seq,
+                        job.start as u64,
+                        [job.start as u64, job.end as u64, 0, 0],
+                    ));
+                }
                 return Some(job);
             }
         }
         None
     }
-
-    /// When the batch is traced, records a `pool_steal` instant whose
-    /// `c` payload carries the acquisition's locality (0 = an
-    /// own-shard peer's deque, 1 = cross-shard).
-    fn trace_steal(&self, remote: bool, job: &Job) {
-        // SAFETY: the batch state outlives its jobs (the submitter
-        // blocks until the batch drains).
-        let seq = unsafe { (*job.batch).trace_seq };
-        if seq != 0 {
-            pb_trace::record(Event::instant(
-                EventKind::PoolSteal,
-                seq,
-                job.start as u64,
-                [job.start as u64, job.end as u64, remote as u64, 0],
-            ));
-        }
-    }
-
-    /// Executes one job on the thread at `slot`, attributing it to the
-    /// executing thread's shard as local (the job's home) or remote
-    /// (drained cross-shard).
-    fn run_job(&self, job: &Job, slot: usize) {
-        let shards = self.shards.load(Ordering::Relaxed);
-        let here = shard_of_slot(slot, shards, self.threads);
-        let counters = &self.shard_counters[here];
-        if job.home == here {
-            counters.local_jobs.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.remote_jobs.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: every job's batch state is alive (its submitter
-        // blocks in `run_indexed` until the batch completes).
-        unsafe { (*job.batch).execute(job.start, job.end) };
-    }
-
-    fn injectors_empty(&self) -> bool {
-        self.injectors.iter().all(|i| i.is_empty())
-    }
 }
 
 /// Cumulative **top-level** batch counters for one pool: how many
-/// batches were dispatched to the queues vs run inline, how many
-/// tasks they carried, the widest batch seen, and — aggregated across
-/// shards — how many jobs ran on their home shard vs leaked across a
-/// shard boundary. Relaxed atomics; the batch counters are updated
-/// once per top-level submission — batches submitted from *inside* a
-/// pool task (nested parallelism running under the depth-aware
-/// admission policy) are deliberately not counted, so worker threads
-/// never touch those shared cache lines from their inner loops. The
-/// locality counters are updated once per executed job (chunk), which
-/// is coarse enough to be free and rich enough for the throughput
-/// benches to report how well sharding keeps work local.
+/// batches were dispatched to the queues vs run inline, and how many
+/// tasks they carried. Relaxed atomics, updated once per top-level
+/// submission — batches submitted from *inside* a pool task (nested
+/// parallelism running under the depth-aware admission policy) are
+/// deliberately not counted, so worker threads never touch these
+/// shared cache lines from their inner loops. Every field is a
+/// counter, so a window of traffic is the difference of two snapshots
+/// ([`PoolBatchStats::delta_since`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBatchStats {
     /// Batches fanned out across the worker queues.
@@ -377,45 +229,24 @@ pub struct PoolBatchStats {
     pub inline: u64,
     /// Total tasks across all batches.
     pub tasks: u64,
-    /// Largest single batch (tasks).
-    pub max_batch: u64,
-    /// Queued jobs executed by a thread of their home shard (summed
-    /// over shards).
-    pub local_jobs: u64,
-    /// Queued jobs executed cross-shard — remote steals, per job
-    /// (summed over shards; always 0 at one shard).
-    pub remote_jobs: u64,
 }
 
 impl PoolBatchStats {
     /// The traffic between an `earlier` snapshot of the same pool's
-    /// stats and this one: counter fields subtract; `max_batch` — a
-    /// running maximum, from which a windowed maximum is not
-    /// recoverable — reports the new high-water mark if it rose during
-    /// the window and 0 otherwise.
+    /// stats and this one (field-wise difference).
     pub fn delta_since(&self, earlier: &PoolBatchStats) -> PoolBatchStats {
         PoolBatchStats {
             dispatched: self.dispatched.saturating_sub(earlier.dispatched),
             inline: self.inline.saturating_sub(earlier.inline),
             tasks: self.tasks.saturating_sub(earlier.tasks),
-            max_batch: if self.max_batch > earlier.max_batch {
-                self.max_batch
-            } else {
-                0
-            },
-            local_jobs: self.local_jobs.saturating_sub(earlier.local_jobs),
-            remote_jobs: self.remote_jobs.saturating_sub(earlier.remote_jobs),
         }
     }
 
-    /// Folds another delta into this one (`max_batch` takes the max).
+    /// Folds another delta into this one (field-wise sum).
     pub fn absorb(&mut self, other: &PoolBatchStats) {
         self.dispatched += other.dispatched;
         self.inline += other.inline;
         self.tasks += other.tasks;
-        self.max_batch = self.max_batch.max(other.max_batch);
-        self.local_jobs += other.local_jobs;
-        self.remote_jobs += other.remote_jobs;
     }
 }
 
@@ -427,14 +258,12 @@ pub struct Pool {
     dispatched: AtomicU64,
     inline: AtomicU64,
     tasks: AtomicU64,
-    max_batch: AtomicU64,
 }
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
             .field("threads", &self.threads)
-            .field("shards", &self.shards())
             .finish()
     }
 }
@@ -443,21 +272,14 @@ impl std::fmt::Debug for Pool {
 /// (useful for determinism tests on small machines and for pinning CI).
 pub const THREADS_ENV: &str = "PB_POOL_THREADS";
 
-/// The environment variable setting the global pool's initial shard
-/// count (default 1 — the pre-sharding single-injector topology).
-/// Values are clamped to `[1, threads]`; see [`Pool::set_shards`].
-pub const SHARDS_ENV: &str = "PB_POOL_SHARDS";
-
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 impl Pool {
     /// The lazily initialized process-wide pool.
     ///
     /// Sized to `std::thread::available_parallelism()` unless the
-    /// `PB_POOL_THREADS` environment variable overrides it, and
-    /// sharded per `PB_POOL_SHARDS` (default 1). The first caller
-    /// fixes the thread budget for the life of the process; the shard
-    /// count stays adjustable via [`Pool::set_shards`].
+    /// `PB_POOL_THREADS` environment variable overrides it. The first
+    /// caller fixes the size for the life of the process.
     pub fn global() -> &'static Pool {
         GLOBAL.get_or_init(|| {
             let threads = std::env::var(THREADS_ENV)
@@ -469,46 +291,28 @@ impl Pool {
                         .map(|n| n.get())
                         .unwrap_or(1)
                 });
-            let shards = std::env::var(SHARDS_ENV)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1);
-            Pool::with_config(threads, shards)
+            Pool::with_threads(threads)
         })
     }
 
-    /// Creates a single-shard pool with an explicit thread budget of
-    /// `threads` (counting the submitting thread: `threads - 1`
-    /// workers are spawned, and `threads < 2` means "run everything
-    /// inline").
+    /// Creates a pool with an explicit thread budget of `threads`
+    /// (counting the submitting thread: `threads - 1` workers are
+    /// spawned, and `threads < 2` means "run everything inline").
     pub fn with_threads(threads: usize) -> Pool {
-        Pool::with_config(threads, 1)
-    }
-
-    /// Creates a pool with an explicit thread budget and shard count.
-    /// The shard count is clamped to `[1, threads]` — asking for more
-    /// shards than threads degenerates to one injector per thread
-    /// slot, never to empty shards.
-    pub fn with_config(threads: usize, shards: usize) -> Pool {
         let threads = threads.max(1);
-        let shards = shards.clamp(1, threads);
         let workers: Vec<Worker<Job>> = (1..threads).map(|_| Worker::new_fifo()).collect();
         let shared = Arc::new(Shared {
-            injectors: (0..threads).map(|_| Injector::new()).collect(),
+            injector: Injector::new(),
             stealers: workers.iter().map(Worker::stealer).collect(),
-            shards: AtomicUsize::new(shards),
-            threads,
-            shard_counters: (0..threads).map(|_| ShardCounters::default()).collect(),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
         });
-        for (index, worker) in workers.into_iter().enumerate() {
+        for worker in workers {
             let shared = Arc::clone(&shared);
-            let slot = index + 1;
             std::thread::Builder::new()
                 .name("pb-pool-worker".into())
-                .spawn(move || worker_loop(&shared, worker, slot))
+                .spawn(move || worker_loop(&shared, worker))
                 .expect("failed to spawn pool worker");
         }
         Pool {
@@ -517,7 +321,6 @@ impl Pool {
             dispatched: AtomicU64::new(0),
             inline: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
         }
     }
 
@@ -526,65 +329,13 @@ impl Pool {
         self.threads
     }
 
-    /// The active shard count (in `[1, threads]`).
-    pub fn shards(&self) -> usize {
-        self.shared.shards.load(Ordering::Relaxed)
-    }
-
-    /// Sets the active shard count, clamped to `[1, threads]`, and
-    /// returns the effective value. Affects the routing of batches
-    /// submitted *after* the call and the steal order of idle threads;
-    /// jobs already queued are never stranded (idle threads scan every
-    /// injector). Sharding is pure scheduling — outcomes are
-    /// bit-identical at any shard count — so this is safe to call at
-    /// any time; tests and benches use it to sweep shard counts on the
-    /// process-wide pool, whose thread budget is fixed at first use.
-    pub fn set_shards(&self, shards: usize) -> usize {
-        let shards = shards.clamp(1, self.threads);
-        self.shared.shards.store(shards, Ordering::Relaxed);
-        shards
-    }
-
-    /// Cumulative batch counters since the pool was created (job
-    /// locality counters aggregated across shards).
+    /// Cumulative batch counters since the pool was created.
     pub fn batch_stats(&self) -> PoolBatchStats {
-        let mut local_jobs = 0;
-        let mut remote_jobs = 0;
-        for counters in &self.shared.shard_counters {
-            local_jobs += counters.local_jobs.load(Ordering::Relaxed);
-            remote_jobs += counters.remote_jobs.load(Ordering::Relaxed);
-        }
         PoolBatchStats {
             dispatched: self.dispatched.load(Ordering::Relaxed),
             inline: self.inline.load(Ordering::Relaxed),
             tasks: self.tasks.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            local_jobs,
-            remote_jobs,
         }
-    }
-
-    /// Per-shard scheduling counters for the *active* shards,
-    /// cumulative since the pool was created. If the shard count
-    /// changed over the pool's lifetime, counters accumulated under
-    /// the old topology stay attributed to their shard indices.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let shards = self.shards();
-        (0..shards)
-            .map(|shard| {
-                let slots = (0..self.threads)
-                    .filter(|&s| shard_of_slot(s, shards, self.threads) == shard)
-                    .count();
-                let counters = &self.shared.shard_counters[shard];
-                ShardStats {
-                    shard,
-                    threads: slots,
-                    dispatched: counters.dispatched.load(Ordering::Relaxed),
-                    local_jobs: counters.local_jobs.load(Ordering::Relaxed),
-                    remote_jobs: counters.remote_jobs.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
     }
 
     /// Counts one top-level batch of `count` tasks against the stats.
@@ -599,19 +350,11 @@ impl Pool {
             self.inline.fetch_add(1, Ordering::Relaxed);
         }
         self.tasks.fetch_add(count as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(count as u64, Ordering::Relaxed);
     }
 
     /// Runs `task(i)` for every `i` in `0..count` and blocks until all
     /// calls complete. Calls may run concurrently and in any order;
     /// the caller's thread participates.
-    ///
-    /// The batch is split into contiguous chunks and chunk `c` of `C`
-    /// is routed to shard `c * shards / C` — a contiguous per-shard
-    /// partition of the index space, so a shard is a span of the
-    /// submitted order (for the tuner: a span of candidate-index
-    /// order). Callers that merge results by index are therefore
-    /// bit-identical at any shard count.
     ///
     /// # Panics
     ///
@@ -684,7 +427,7 @@ impl Pool {
         // function does not return until every job of the batch has
         // executed, so the borrow outlives every dereference.
         let task_ptr: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task_obj) };
-        let state = BatchState {
+        let state = Arc::new(BatchState {
             task: task_ptr,
             remaining: AtomicUsize::new(chunks),
             poisoned: AtomicBool::new(false),
@@ -692,28 +435,17 @@ impl Pool {
             done_lock: Mutex::new(()),
             done: Condvar::new(),
             trace_seq,
-        };
+        });
 
-        // Route contiguous chunk ranges to their home shard's
-        // injector; own-shard threads drain them first (locality),
-        // remote threads only once their shard is dry.
-        let shards = self.shared.shards.load(Ordering::Relaxed);
         let mut start = 0;
-        let mut chunk = 0;
         while start < count {
             let end = (start + chunk_len).min(count);
-            let shard = chunk * shards / chunks;
-            self.shared.shard_counters[shard]
-                .dispatched
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.injectors[shard].push(Job {
-                batch: &state,
+            self.shared.injector.push(Job {
+                batch: Arc::clone(&state),
                 start,
                 end,
-                home: shard,
             });
             start = end;
-            chunk += 1;
         }
         {
             let _guard = self.shared.sleep_lock.lock().expect("sleep lock poisoned");
@@ -721,10 +453,9 @@ impl Pool {
         }
 
         // Help: execute queued jobs (ours or anyone's) while waiting.
-        // The caller occupies slot 0, so it drains shard 0 first.
         while state.remaining.load(Ordering::Acquire) != 0 {
-            match self.shared.find_job(None, 0) {
-                Some(job) => self.shared.run_job(&job, 0),
+            match self.shared.find_job(None) {
+                Some(job) => job.batch.execute(job.start, job.end),
                 None => {
                     let guard = self.shared.sleep_lock.lock().expect("sleep lock poisoned");
                     // Re-check under the lock: a worker may have
@@ -753,7 +484,7 @@ impl Pool {
                 trace_seq,
                 0,
                 batch_start,
-                [count as u64, chunks as u64, 1, shards as u64],
+                [count as u64, chunks as u64, 1, 0],
             ));
         }
 
@@ -775,10 +506,10 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: &Shared, local: Worker<Job>, slot: usize) {
+fn worker_loop(shared: &Shared, local: Worker<Job>) {
     loop {
-        if let Some(job) = local.pop().or_else(|| shared.find_job(Some(&local), slot)) {
-            shared.run_job(&job, slot);
+        if let Some(job) = local.pop().or_else(|| shared.find_job(Some(&local))) {
+            job.batch.execute(job.start, job.end);
             continue;
         }
         // Drain-then-exit: only stop once no work is reachable, so a
@@ -787,7 +518,7 @@ fn worker_loop(shared: &Shared, local: Worker<Job>, slot: usize) {
             return;
         }
         let guard = shared.sleep_lock.lock().expect("sleep lock poisoned");
-        if shared.injectors_empty() {
+        if shared.injector.is_empty() {
             // Timed wait so a notify racing ahead of this lock cannot
             // strand a worker while jobs sit queued.
             let _ = shared
@@ -816,119 +547,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batches_run_every_index_exactly_once() {
-        // Sweep the shard counts the determinism suite uses, both via
-        // construction and via `set_shards` on a live pool (the path
-        // the in-process sweep takes on the global pool).
-        for shards in [1, 2, 4] {
-            let pool = Pool::with_config(4, shards);
-            assert_eq!(pool.shards(), shards);
-            let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-            pool.run_indexed(1000, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-        let pool = Pool::with_threads(4);
-        for shards in [2, 4, 1] {
-            assert_eq!(pool.set_shards(shards), shards);
-            let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-            pool.run_indexed(500, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn shard_count_clamps_to_the_thread_budget() {
-        // More shards than threads degenerates to per-slot injectors;
-        // zero means "unsharded".
-        let pool = Pool::with_config(4, 64);
-        assert_eq!(pool.shards(), 4);
-        let pool = Pool::with_config(4, 0);
-        assert_eq!(pool.shards(), 1);
-        assert_eq!(pool.set_shards(100), 4);
-        assert_eq!(pool.set_shards(0), 1);
-        let single = Pool::with_config(1, 8);
-        assert_eq!(single.shards(), 1);
-    }
-
-    #[test]
-    fn shards_equal_threads_degenerates_to_per_slot_injectors() {
-        let pool = Pool::with_config(4, 4);
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 4);
-        assert!(
-            stats.iter().all(|s| s.threads == 1),
-            "every slot its own shard: {stats:?}"
-        );
-        // 64 tasks on 4 threads split into 16 chunks; chunk c routes
-        // to shard c*4/16, i.e. exactly 4 chunks per shard.
-        pool.run_indexed(64, |_| {});
-        let stats = pool.shard_stats();
-        assert!(stats.iter().all(|s| s.dispatched == 4), "{stats:?}");
-    }
-
-    #[test]
-    fn submission_routes_contiguous_chunk_spans_to_shards() {
-        // With 2 shards the first half of the chunk range must land on
-        // shard 0 and the second on shard 1 (the contiguous per-shard
-        // sub-batch partition the evaluator's merge order relies on).
-        let pool = Pool::with_config(4, 2);
-        pool.run_indexed(64, |_| {});
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].dispatched, 8, "{stats:?}");
-        assert_eq!(stats[1].dispatched, 8, "{stats:?}");
-        // Slots 0..4 partition contiguously: {0,1} and {2,3}.
-        assert_eq!(stats[0].threads, 2);
-        assert_eq!(stats[1].threads, 2);
-    }
-
-    #[test]
-    fn set_shards_reroutes_future_batches_without_stranding_jobs() {
-        let pool = Pool::with_threads(4);
-        pool.run_indexed(64, |_| {});
-        assert_eq!(pool.shard_stats().len(), 1);
-        pool.set_shards(4);
+    fn many_small_batches_complete() {
+        // The job that finishes a batch often runs on a worker just as
+        // the submitter sees the batch drained and returns; its
+        // completion signal must not touch the submitter's stack. A
+        // plain run passes either way; under AddressSanitizer
+        // (`RUSTFLAGS=-Zsanitizer=address cargo +nightly test
+        // --target x86_64-unknown-linux-gnu`, with
+        // `ASAN_OPTIONS=detect_stack_use_after_return=1`) a regression
+        // reports a stack-use-after-return here.
+        let pool = Pool::with_threads(3);
         let count = AtomicU64::new(0);
-        pool.run_indexed(64, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 64);
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 4);
-        // The rerouted batch spread across the new shards (the first
-        // 64-task batch's 16 chunks all sit on shard 0's counter).
-        assert_eq!(stats[0].dispatched, 16 + 4, "{stats:?}");
-        assert!(stats[1..].iter().all(|s| s.dispatched == 4), "{stats:?}");
-    }
-
-    #[test]
-    fn batch_stats_aggregate_shard_locality_counters() {
-        let pool = Pool::with_config(4, 2);
-        // Uneven work per task forces cross-shard stealing; whatever
-        // mix of local and remote execution the schedule produces, the
-        // aggregate view must equal the per-shard sum — and every
-        // dispatched job must be accounted exactly once.
-        pool.run_indexed(256, |i| {
-            if i % 7 == 0 {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        });
-        let agg = pool.batch_stats();
-        let per_shard = pool.shard_stats();
-        let local: u64 = per_shard.iter().map(|s| s.local_jobs).sum();
-        let remote: u64 = per_shard.iter().map(|s| s.remote_jobs).sum();
-        let dispatched: u64 = per_shard.iter().map(|s| s.dispatched).sum();
-        assert_eq!(agg.local_jobs, local);
-        assert_eq!(agg.remote_jobs, remote);
-        assert_eq!(
-            local + remote,
-            dispatched,
-            "every queued job runs exactly once: {per_shard:?}"
-        );
+        for _ in 0..20_000 {
+            pool.run_indexed(6, |_| {
+                count.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(count.load(Ordering::Relaxed), 6 * 20_000);
     }
 
     #[test]
@@ -956,22 +591,6 @@ mod tests {
         // Even on a single-core host the 3 workers plus the caller
         // timeshare; requiring >= 2 distinct threads keeps the test
         // robust while still proving jobs leave the calling thread.
-        assert!(seen.into_inner().unwrap().len() >= 2);
-    }
-
-    #[test]
-    fn sharded_work_still_spreads_across_threads() {
-        // Remote stealing must keep a 2-shard pool fully utilized even
-        // when one shard's half of the batch is much heavier.
-        let pool = Pool::with_config(4, 2);
-        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-        pool.run_indexed(256, |i| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            if i < 128 {
-                // Shard 0's span is the slow half.
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        });
         assert!(seen.into_inner().unwrap().len() >= 2);
     }
 
@@ -1029,28 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_batches_stay_inline_at_every_shard_count() {
-        // The depth-aware admission policy is shard-independent: a
-        // nested batch must never reach any shard's injector.
-        for shards in [2, 4] {
-            let pool = Pool::with_config(4, shards);
-            let violations = AtomicU64::new(0);
-            pool.run_indexed(16, |_| {
-                let submitter = std::thread::current().id();
-                pool.run_indexed(16, |_| {
-                    if std::thread::current().id() != submitter || current_task_depth() != 2 {
-                        violations.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            });
-            assert_eq!(violations.load(Ordering::Relaxed), 0);
-            // Only the outer batch's chunks were dispatched.
-            let dispatched: u64 = pool.shard_stats().iter().map(|s| s.dispatched).sum();
-            assert_eq!(dispatched, 16, "nested jobs must not hit the injectors");
-        }
-    }
-
-    #[test]
     fn top_level_single_task_batches_do_not_mark_depth() {
         // A degenerate top-level batch runs inline but occupies no
         // worker, so parallelism nested inside it must still fan out.
@@ -1097,7 +694,6 @@ mod tests {
         let after_dispatch = pool.batch_stats();
         assert_eq!(after_dispatch.dispatched, 1);
         assert_eq!(after_dispatch.tasks, 64);
-        assert_eq!(after_dispatch.max_batch, 64);
         // A single-task batch runs inline and is counted; nested
         // batches run inline on the submitting task and are *not*
         // counted (worker inner loops must not touch the shared
@@ -1110,7 +706,6 @@ mod tests {
         assert_eq!(stats.dispatched, 2);
         assert_eq!(stats.inline, 1, "only the degenerate top-level batch");
         assert_eq!(stats.tasks, 64 + 1 + 2);
-        assert_eq!(stats.max_batch, 64);
     }
 
     #[test]
@@ -1124,14 +719,10 @@ mod tests {
         assert_eq!(delta.dispatched, 1);
         assert_eq!(delta.inline, 1);
         assert_eq!(delta.tasks, 33);
-        // max_batch did not rise past the earlier snapshot's 64, so the
-        // window reports no new high-water mark.
-        assert_eq!(delta.max_batch, 0);
         let mut acc = PoolBatchStats::default();
         acc.absorb(&delta);
         acc.absorb(&snap.delta_since(&PoolBatchStats::default()));
         assert_eq!(acc.tasks, 64 + 33);
-        assert_eq!(acc.max_batch, 64);
     }
 
     #[test]
@@ -1163,7 +754,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a >= 1);
         assert!(std::ptr::eq(Pool::global(), Pool::global()));
-        let shards = Pool::global().shards();
-        assert!(shards >= 1 && shards <= a);
     }
 }

@@ -237,7 +237,7 @@ pub enum EventKind {
     /// One input size's generations. `a`=n, `b..d`=pool delta.
     Generation,
     /// `Population::test_all`. Phase args: `a`=dispatched, `b`=inline,
-    /// `c`=tasks, `d`=max batch — the pool delta over the phase.
+    /// `c`=tasks — the pool delta over the phase.
     PhaseTest,
     /// Random-mutation plan+execute (children's trial batch).
     PhaseMutate,
@@ -257,15 +257,13 @@ pub enum EventKind {
     /// batch. `a`=input size, `b`=trial seed, `c`=virtual cost.
     Trial,
     /// One pool batch. `a`=items, `b`=job chunks, `c`=1 if dispatched
-    /// to workers, 0 if inline; `d`=active shard count when dispatched.
+    /// to workers, 0 if inline.
     PoolBatch,
     /// One executed pool job (contiguous item range). `idx`=`a`=range
     /// start, `b`=range end.
     PoolJob,
-    /// A job taken by stealing rather than from the thread's own
-    /// shard injector (instant event). `a`=range start, `b`=range
-    /// end, `c`=locality: 0 = within-shard (an own-shard peer's
-    /// deque), 1 = cross-shard (a remote injector or remote deque).
+    /// A job stolen from a peer worker's deque rather than taken from
+    /// the injector (instant event). `a`=range start, `b`=range end.
     PoolSteal,
 }
 
@@ -685,8 +683,6 @@ pub struct PhaseDelta {
     pub inline: u64,
     /// Pool tasks executed during the phase.
     pub tasks: u64,
-    /// Largest single dispatched batch seen in the phase.
-    pub max_batch: u64,
 }
 
 /// Non-event payload of the Chrome export (ignored by viewers, read by
@@ -737,7 +733,7 @@ impl Trace {
     }
 
     /// Per-phase pool-batch deltas aggregated from this trace's phase
-    /// spans (args: a=dispatched, b=inline, c=tasks, d=max batch).
+    /// spans (args: a=dispatched, b=inline, c=tasks).
     pub fn phase_deltas(&self) -> Vec<PhaseDelta> {
         let mut out = Vec::new();
         for kind in EventKind::PHASES {
@@ -748,7 +744,6 @@ impl Trace {
                 dispatched: 0,
                 inline: 0,
                 tasks: 0,
-                max_batch: 0,
             };
             for e in self.events.iter().filter(|e| e.kind == kind) {
                 delta.count += 1;
@@ -756,7 +751,6 @@ impl Trace {
                 delta.dispatched += e.a;
                 delta.inline += e.b;
                 delta.tasks += e.c;
-                delta.max_batch = delta.max_batch.max(e.d);
             }
             if delta.count > 0 {
                 out.push(delta);

@@ -487,15 +487,12 @@ impl<'a> Evaluator<'a> {
     /// sequential mode. Identical results and identical final cache
     /// state either way.
     ///
-    /// **Sharding contract.** Callers submit requests in candidate-
-    /// index order (the arena plans demands through a `BTreeMap`), the
-    /// miss batch preserves that order, and the pool routes contiguous
-    /// chunk spans of it to shard-local injectors — so each shard
-    /// executes a contiguous per-shard sub-batch of the round's
-    /// candidate range. Outcomes merge back strictly by request index
-    /// below, which is what keeps decisions bit-identical at any
-    /// `PB_POOL_SHARDS` setting: sharding moves *where* a trial runs,
-    /// never which outcome lands in which slot.
+    /// **Merge contract.** The pool may run the miss batch's trials on
+    /// any thread in any order, but outcomes merge back strictly by
+    /// request index below. That is what keeps decisions bit-identical
+    /// between sequential and parallel mode and at any thread count:
+    /// scheduling moves *where* a trial runs, never which outcome lands
+    /// in which slot.
     pub fn run_batch(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
         let tracing = pb_trace::enabled();
         let (batch_seq, batch_start) = if tracing {
@@ -598,12 +595,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Executes every request (no cache involvement), parallel or
-    /// sequential per the mode, windowing the pool's batch stats —
-    /// including the shard steal counters — into
+    /// sequential per the mode, windowing the pool's batch stats into
     /// [`Evaluator::pool_trial_stats`]. In parallel mode the request
-    /// range fans out through `run_indexed`, whose chunk→shard routing
-    /// turns the (candidate-index-ordered) range into contiguous
-    /// per-shard sub-batches.
+    /// range fans out through `run_indexed`; each outcome is written to
+    /// its request's index, so the result order is the request order.
     fn execute(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
         if requests.is_empty() {
             return Vec::new();
@@ -624,9 +619,22 @@ impl<'a> Evaluator<'a> {
             // its request index — the deterministic `idx` of its trace
             // event. Behaviorally identical: `parallel_map` is this
             // exact call.
-            EvalMode::Parallel => parallel_gen(requests.len(), 2, |i| {
-                self.run_one(trace_seq, i, &requests[i])
-            }),
+            EvalMode::Parallel => match self.resample_waves(requests) {
+                None => parallel_gen(requests.len(), 2, |i| {
+                    self.run_one(trace_seq, i, &requests[i])
+                }),
+                Some(waves) => {
+                    let mut ran: Vec<(usize, TrialOutcome)> = Vec::with_capacity(requests.len());
+                    for wave in waves {
+                        let outcomes = parallel_gen(wave.len(), 2, |j| {
+                            self.run_one(trace_seq, wave[j], &requests[wave[j]])
+                        });
+                        ran.extend(wave.into_iter().zip(outcomes));
+                    }
+                    ran.sort_unstable_by_key(|&(i, _)| i);
+                    ran.into_iter().map(|(_, outcome)| outcome).collect()
+                }
+            },
         };
         let delta = Pool::global().batch_stats().delta_since(&before);
         self.pool_trial
@@ -634,6 +642,31 @@ impl<'a> Evaluator<'a> {
             .expect("pool stats poisoned")
             .absorb(&delta);
         outcomes
+    }
+
+    /// Without a cache, a batch may repeat a request, and a
+    /// non-deterministic runner may answer each repeat differently in
+    /// call order (a noisy runner numbers the re-samples of one
+    /// coordinate). Sequential mode calls repeats in request order; to
+    /// match it, parallel mode runs the `k`-th occurrence of every
+    /// request in wave `k`, one wave after another. Returns the waves'
+    /// request indices, or `None` when no request repeats (always the
+    /// case with a cache, which coalesces repeats before execution).
+    fn resample_waves(&self, requests: &[TrialRequest]) -> Option<Vec<Vec<usize>>> {
+        if self.cache.is_some() {
+            return None;
+        }
+        let mut seen: HashMap<CacheKey, usize> = HashMap::new();
+        let mut waves: Vec<Vec<usize>> = vec![Vec::new()];
+        for (i, r) in requests.iter().enumerate() {
+            let occurrence = seen.entry((r.fingerprint, r.n, r.seed)).or_insert(0);
+            if *occurrence == waves.len() {
+                waves.push(Vec::new());
+            }
+            waves[*occurrence].push(i);
+            *occurrence += 1;
+        }
+        (waves.len() > 1).then_some(waves)
     }
 
     /// Classifies a completed attempt: timed out, non-finite cost, or
@@ -1071,6 +1104,58 @@ mod tests {
         eval.run_batch(&reqs);
         assert_eq!(eval.cache_hits(), 0);
         assert_eq!(eval.cache_misses(), 0);
+    }
+
+    /// A wall-clock-style runner whose answer is how many times the
+    /// same `(n, seed)` was asked before: repeats differ, in call order.
+    struct Resampling {
+        schema: Schema,
+        calls: Mutex<HashMap<(u64, u64), u64>>,
+    }
+
+    impl TrialRunner for Resampling {
+        fn name(&self) -> &str {
+            "resampling"
+        }
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+        fn run_trial(&self, _config: &Config, n: u64, seed: u64) -> TrialOutcome {
+            // Widen the window in which repeats could overlap.
+            std::thread::sleep(Duration::from_micros(200));
+            let mut calls = self.calls.lock().unwrap();
+            let count = calls.entry((n, seed)).or_insert(0);
+            *count += 1;
+            TrialOutcome {
+                time: *count as f64,
+                wall_seconds: 0.0,
+                virtual_cost: 0.0,
+                accuracy: 0.5,
+            }
+        }
+        fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
+            (self.run_trial(config, n, seed), TraceNode::default())
+        }
+    }
+
+    #[test]
+    fn parallel_resampling_matches_sequential_call_order() {
+        let schema = Linear.schema();
+        let config = schema.default_config();
+        // Three distinct trials, each repeated eight times, interleaved.
+        let reqs: Vec<TrialRequest> = (0..24).map(|i| request(&config, 8, i % 3)).collect();
+        let run = |mode| {
+            let runner = Resampling {
+                schema: schema.clone(),
+                calls: Mutex::new(HashMap::new()),
+            };
+            Evaluator::new(&runner, mode, false).run_batch(&reqs)
+        };
+        let sequential = run(EvalMode::Sequential);
+        let times: Vec<f64> = sequential.iter().map(|o| o.time).collect();
+        let expected: Vec<f64> = (0..24).map(|i| (i / 3 + 1) as f64).collect();
+        assert_eq!(times, expected, "the k-th repeat sees k earlier calls");
+        assert_eq!(run(EvalMode::Parallel), sequential);
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl PhaseSpan {
             span.seq,
             span.idx,
             span.start_ns,
-            [delta.dispatched, delta.inline, delta.tasks, delta.max_batch],
+            [delta.dispatched, delta.inline, delta.tasks, 0],
         ));
     }
 }

@@ -12,7 +12,7 @@
 use petabricks::benchmarks::binpacking::ratio_to_accuracy;
 use petabricks::benchmarks::{BinPacking, Clustering};
 use petabricks::config::AccuracyBins;
-use petabricks::runtime::pool::{Pool, THREADS_ENV};
+use petabricks::runtime::pool::THREADS_ENV;
 use petabricks::runtime::{CostModel, Transform, TransformRunner};
 use petabricks::tuner::{Autotuner, TunerOptions, TuningOutcome};
 
@@ -68,7 +68,7 @@ fn clustering_parallel_matches_sequential_across_seeds() {
 #[test]
 fn binpacking_parallel_matches_sequential_across_seeds() {
     force_parallel_pool();
-    for seed in [7u64, 42] {
+    for seed in [7u64, 42, 0x5AD] {
         let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
         let seq = tune(BinPacking, bins.clone(), 256, seed, false);
         let par = tune(BinPacking, bins, 256, seed, true);
@@ -150,45 +150,6 @@ fn merging_and_pair_memo_are_bit_identical_and_batched() {
         assert_eq!(seq.stats.pair_memo_queries, par.stats.pair_memo_queries);
         assert_eq!(seq.stats.pair_memo_hits, par.stats.pair_memo_hits);
     }
-}
-
-/// Sharding must be pure scheduling (the sharded-evaluation
-/// contract): splitting the pool's injector into 1, 2, or 4
-/// shard-local injectors — with locality-preferring stealing and
-/// contiguous per-shard sub-batch routing — may move trials between
-/// worker threads but must never change a program, a counter (fault
-/// counters included; `TunerStats` equality is total), or a surviving
-/// candidate. The sweep runs on the process-wide pool via
-/// `Pool::set_shards`, the same knob `PB_POOL_SHARDS` initializes; CI
-/// additionally runs this whole suite under `PB_POOL_SHARDS=2` to
-/// exercise the env path.
-#[test]
-fn sharded_tuning_is_bit_identical_across_shard_counts() {
-    force_parallel_pool();
-    let pool = Pool::global();
-    let initial_shards = pool.shards();
-    let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
-    for seed in [7u64, 0x5AD] {
-        let seq = tune(BinPacking, bins.clone(), 256, seed, false);
-        for shards in [1usize, 2, 4] {
-            assert_eq!(
-                pool.set_shards(shards),
-                shards.min(pool.threads()),
-                "the forced 4-thread pool must accept the sweep's shard counts"
-            );
-            let par = tune(BinPacking, bins.clone(), 256, seed, true);
-            assert_bit_identical(&seq, &par);
-        }
-    }
-    // Clustering exercises the kernel-parallel path (nested batches
-    // under trial tasks must stay inline at every shard count).
-    for shards in [1usize, 2, 4] {
-        pool.set_shards(shards);
-        let seq = tune(Clustering, vec![0.05, 0.2], 64, 11, false);
-        let par = tune(Clustering, vec![0.05, 0.2], 64, 11, true);
-        assert_bit_identical(&seq, &par);
-    }
-    pool.set_shards(initial_shards);
 }
 
 /// Tracing must be pure observation (the `pb_trace` contract): with
