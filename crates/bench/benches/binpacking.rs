@@ -24,7 +24,7 @@ fn bench_algorithms(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &alg, |b, &alg| {
             b.iter(|| {
                 let mut ctx = ExecCtx::new(&schema, &config, 4096, 0);
-                std::hint::black_box(pack_with(alg, &input.items, 2, usize::MAX, &mut ctx))
+                std::hint::black_box(pack_with(alg, &input.items, 2, &mut ctx))
             })
         });
     }
@@ -38,7 +38,7 @@ fn bench_algorithms(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
                 let mut ctx = ExecCtx::new(&schema, &config, size, 0);
-                std::hint::black_box(pack_with(7, &input.items, 2, usize::MAX, &mut ctx))
+                std::hint::black_box(pack_with(7, &input.items, 2, &mut ctx))
             })
         });
     }

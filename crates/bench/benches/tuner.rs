@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pb_config::{AccuracyBins, Schema};
 use pb_runtime::{CostModel, ExecCtx, Transform, TransformRunner};
-use pb_stats::{Comparator, OnlineStats};
+use pb_stats::{Comparator, CompareStep, OnlineStats, Which};
 use pb_tuner::{Autotuner, TunerOptions};
 use rand::rngs::SmallRng;
 
@@ -53,19 +53,19 @@ fn bench_tuner(c: &mut Criterion) {
             let comparator = Comparator::default();
             let mut a = OnlineStats::new();
             let mut bb = OnlineStats::new();
-            let (mut i, mut j) = (0u64, 0u64);
-            std::hint::black_box(comparator.compare(
-                &mut a,
-                &mut || {
-                    i += 1;
-                    1.0 + (i % 7) as f64 * 0.01
-                },
-                &mut bb,
-                &mut || {
-                    j += 1;
-                    1.05 + (j % 5) as f64 * 0.01
-                },
-            ))
+            loop {
+                match comparator.decide(&a, &bb) {
+                    CompareStep::Decided(outcome) => break std::hint::black_box(outcome),
+                    CompareStep::NeedMore { which, draws } => {
+                        for _ in 0..draws {
+                            match which {
+                                Which::A => a.push(1.0 + ((a.count() + 1) % 7) as f64 * 0.01),
+                                Which::B => bb.push(1.05 + ((bb.count() + 1) % 5) as f64 * 0.01),
+                            }
+                        }
+                    }
+                }
+            }
         })
     });
     group.finish();

@@ -47,14 +47,14 @@ fn add_level_tunables(s: &mut Schema) {
 
 /// Virtual-cost units modelling the fixed overhead of dispatching one
 /// smoother sweep to the work-stealing pool (same constant as the
-/// clustering and bin-packing benchmarks, so `par_cutoff` exhibits the
-/// same dispatch-vs-division tradeoff the real scheduler has).
+/// clustering benchmark, so `par_cutoff` exhibits the same
+/// dispatch-vs-division tradeoff the real scheduler has).
 const PAR_DISPATCH_COST: f64 = 512.0;
 
 /// One Red-Black SOR sweep whose per-colour row updates split across
 /// the work-stealing pool when the grid has at least `par_cutoff` rows
-/// (the §5.2 parallel/sequential switch-over, tuned like the other
-/// benchmarks' placement and assignment scans).
+/// (the §5.2 parallel/sequential switch-over, tuned like clustering's
+/// assignment scans).
 ///
 /// Same-colour points never read each other — their four neighbours
 /// are all the opposite colour — so computing a colour's updates from

@@ -72,20 +72,6 @@ impl CompareOutcome {
     }
 }
 
-/// A source of additional measurements for a candidate: each call to
-/// [`SampleSource::draw`] runs one more test and returns the measured
-/// value (e.g. execution time in seconds).
-pub trait SampleSource {
-    /// Runs one more trial and returns the observation.
-    fn draw(&mut self) -> f64;
-}
-
-impl<F: FnMut() -> f64> SampleSource for F {
-    fn draw(&mut self) -> f64 {
-        self()
-    }
-}
-
 /// Tuning knobs for the comparison protocol. The defaults are the
 /// "typical values" quoted in the paper: 3–25 trials, α = 0.05, and a
 /// same-threshold of a 95% probability of a < 1% difference.
@@ -122,24 +108,26 @@ impl Default for ComparatorConfig {
     }
 }
 
-/// Implements the adaptive comparison loop from §5.5.1.
+/// Implements the adaptive comparison protocol from §5.5.1.
 ///
 /// # Examples
 ///
 /// ```
-/// use pb_stats::{Comparator, CompareOutcome, OnlineStats};
+/// use pb_stats::{Comparator, CompareOutcome, CompareStep, OnlineStats, Which};
 ///
 /// let comparator = Comparator::default();
 /// let mut fast = OnlineStats::new();
-/// let mut slow = OnlineStats::new();
-/// let (mut ta, mut tb) = (0u64, 0u64);
-/// let outcome = comparator.compare(
-///     &mut fast,
-///     &mut || { ta += 1; 1.0 + 0.001 * (ta % 3) as f64 },
-///     &mut slow,
-///     &mut || { tb += 1; 2.0 + 0.001 * (tb % 5) as f64 },
+/// let slow: OnlineStats = [2.0, 2.001, 2.002].into_iter().collect();
+/// // Nothing measured on `fast` yet: fill it to the minimum first.
+/// let step = comparator.decide(&fast, &slow);
+/// assert_eq!(step, CompareStep::NeedMore { which: Which::A, draws: 3 });
+/// for t in [1.0, 1.001, 1.002] {
+///     fast.push(t);
+/// }
+/// assert_eq!(
+///     comparator.decide(&fast, &slow),
+///     CompareStep::Decided(CompareOutcome::Less)
 /// );
-/// assert_eq!(outcome, CompareOutcome::Less);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Comparator {
@@ -163,9 +151,10 @@ impl Comparator {
     ///
     /// Pure in the statistics — no trials run here — so a scheduler
     /// can evaluate many comparisons' pending draws as one batch and
-    /// re-decide after merging the outcomes. [`Comparator::compare`]
-    /// is the blocking wrapper that consumes these steps one at a
-    /// time, so the two paths request identical draw sequences.
+    /// re-decide after merging the outcomes. The statistics accumulate
+    /// every drawn observation, so later comparisons against other
+    /// candidates reuse earlier trials, as the paper caches a
+    /// candidate's tests for its lifetime in the population.
     pub fn decide(&self, a_stats: &OnlineStats, b_stats: &OnlineStats) -> CompareStep {
         self.decide_counts(a_stats.count(), a_stats, b_stats.count(), b_stats)
     }
@@ -224,8 +213,8 @@ impl Comparator {
                 _ => CompareOutcome::Same,
             });
         }
-        // Bring both candidates up to the minimum trial count (A
-        // first, matching the blocking loop's fill order).
+        // Bring both candidates up to the minimum trial count, A
+        // first.
         if a_count < cfg.min_trials {
             return CompareStep::NeedMore {
                 which: Which::A,
@@ -278,46 +267,6 @@ impl Comparator {
         CompareStep::NeedMore {
             which: if gain_a >= gain_b { Which::A } else { Which::B },
             draws: 1,
-        }
-    }
-
-    /// Compares two candidates, drawing extra samples on demand.
-    ///
-    /// `a_stats` / `b_stats` accumulate every drawn observation, so
-    /// repeated comparisons against other candidates reuse earlier
-    /// trials — mirroring the paper, where tests on a candidate are
-    /// cached for its lifetime in the population.
-    ///
-    /// A thin blocking wrapper over [`Comparator::decide`]: it draws
-    /// exactly the trials the decision core requests, in the order it
-    /// requests them.
-    pub fn compare(
-        &self,
-        a_stats: &mut OnlineStats,
-        a_source: &mut dyn SampleSource,
-        b_stats: &mut OnlineStats,
-        b_source: &mut dyn SampleSource,
-    ) -> CompareOutcome {
-        loop {
-            match self.decide(a_stats, b_stats) {
-                CompareStep::Decided(outcome) => return outcome,
-                CompareStep::NeedMore {
-                    which: Which::A,
-                    draws,
-                } => {
-                    for _ in 0..draws {
-                        a_stats.push(a_source.draw());
-                    }
-                }
-                CompareStep::NeedMore {
-                    which: Which::B,
-                    draws,
-                } => {
-                    for _ in 0..draws {
-                        b_stats.push(b_source.draw());
-                    }
-                }
-            }
         }
     }
 
@@ -497,6 +446,10 @@ mod tests {
         }
     }
 
+    /// Runs one comparison to its verdict the way a single-threaded
+    /// caller would: draw what [`Comparator::decide`] asks for, on the
+    /// side it names, and re-decide. Returns the verdict and each
+    /// side's draw count.
     fn run_compare(
         comparator: &Comparator,
         mut gen_a: impl FnMut() -> f64,
@@ -504,8 +457,19 @@ mod tests {
     ) -> (CompareOutcome, u64, u64) {
         let mut a = OnlineStats::new();
         let mut b = OnlineStats::new();
-        let out = comparator.compare(&mut a, &mut gen_a, &mut b, &mut gen_b);
-        (out, a.count(), b.count())
+        loop {
+            match comparator.decide(&a, &b) {
+                CompareStep::Decided(out) => return (out, a.count(), b.count()),
+                CompareStep::NeedMore { which, draws } => {
+                    for _ in 0..draws {
+                        match which {
+                            Which::A => a.push(gen_a()),
+                            Which::B => b.push(gen_b()),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -578,46 +542,6 @@ mod tests {
         assert_eq!(out, CompareOutcome::Same);
         assert_eq!(na, 3);
         assert_eq!(nb, 3);
-    }
-
-    /// Drives `decide` by hand the way a batch scheduler would and
-    /// checks it reproduces `compare` exactly: same outcome, same
-    /// number of draws on each side.
-    #[test]
-    fn decide_steps_replay_compare_exactly() {
-        for (seed_a, seed_b, offset) in [(1u64, 2u64, 9.0), (3, 4, 0.0), (5, 6, 0.05)] {
-            let comparator = Comparator::new(ComparatorConfig {
-                max_trials: 10,
-                ..ComparatorConfig::default()
-            });
-            let mut rng_a = Lcg(seed_a);
-            let mut rng_b = Lcg(seed_b);
-            let mut gen_a = move || 1.0 + rng_a.next_f64();
-            let mut gen_b = move || 1.0 + offset + rng_b.next_f64();
-            let (blocking, na, nb) = run_compare(&comparator, &mut gen_a, &mut gen_b);
-
-            // Replay: identical sources, but stepped via `decide`.
-            let mut rng_a = Lcg(seed_a);
-            let mut rng_b = Lcg(seed_b);
-            let mut a = OnlineStats::new();
-            let mut b = OnlineStats::new();
-            let stepped = loop {
-                match comparator.decide(&a, &b) {
-                    CompareStep::Decided(outcome) => break outcome,
-                    CompareStep::NeedMore {
-                        which: Which::A,
-                        draws,
-                    } => (0..draws).for_each(|_| a.push(1.0 + rng_a.next_f64())),
-                    CompareStep::NeedMore {
-                        which: Which::B,
-                        draws,
-                    } => (0..draws).for_each(|_| b.push(1.0 + offset + rng_b.next_f64())),
-                }
-            };
-            assert_eq!(stepped, blocking);
-            assert_eq!(a.count(), na);
-            assert_eq!(b.count(), nb);
-        }
     }
 
     #[test]

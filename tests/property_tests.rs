@@ -121,7 +121,7 @@ proptest! {
         let config = schema.default_config();
         for alg in 0..ALGORITHM_NAMES.len() {
             let mut ctx = ExecCtx::new(&schema, &config, n, seed);
-            let packing = pack_with(alg, &input.items, 2, usize::MAX, &mut ctx);
+            let packing = pack_with(alg, &input.items, 2, &mut ctx);
             prop_assert!(packing.is_valid(), "{} overfilled", ALGORITHM_NAMES[alg]);
             // Volume bound (each bin holds at most 1.0), with float
             // slack: the generator's bins sum to 1.0 only up to
